@@ -151,6 +151,10 @@ class ElasticSPMDRunner:
             for r in range(self.n_ranks):
                 spawn(r)
             next_rank = self.n_ranks
+            if self.autoscale is not None:
+                # Sample once up front: a fast fleet can finish every
+                # lease before the loop below first runs.
+                self._sample_autoscale(tel, world, threads, time.monotonic())
             deadline = time.monotonic() + self.max_wall_s
             try:
                 while not ledger.done:

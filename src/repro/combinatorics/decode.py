@@ -5,6 +5,12 @@ mirror what each CUDA thread computes; this module provides the general
 ``order``-dimensional decode (needed e.g. by the 4x1 scheme where a
 thread id encodes a full 4-combination) by peeling the top index one
 binomial at a time.
+
+A contiguous ``range`` of ids decodes by successor generation instead:
+the top index is constant on each level ``[C(m, r), C(m + 1, r))``, so
+only the two end points need a top-index search, and the remainder
+inside a level is again a contiguous range one order down.  The search
+engine only ever decodes contiguous strides, so it takes that path.
 """
 
 from __future__ import annotations
@@ -13,7 +19,12 @@ import math
 
 import numpy as np
 
-__all__ = ["binomial_clamped", "top_index_array", "combos_from_linear"]
+__all__ = [
+    "binomial_clamped",
+    "top_index",
+    "top_index_array",
+    "combos_from_linear",
+]
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
 
@@ -46,8 +57,7 @@ def binomial_clamped(x: np.ndarray, order: int) -> np.ndarray:
     unaffected.  Negative ``x - r`` terms clamp to zero, so out-of-range
     ``x`` yields 0 like :func:`math.comb` on ``k > n``.
     """
-    if not 1 <= order <= _MAX_ORDER:
-        raise ValueError(f"order must be in [1, {_MAX_ORDER}]")
+    _check_order(order)
     x = np.asarray(x, dtype=np.int64)
     out = np.ones_like(x)
     clamped = np.zeros(x.shape, dtype=bool)
@@ -60,6 +70,37 @@ def binomial_clamped(x: np.ndarray, order: int) -> np.ndarray:
     return np.where(clamped, _GUARD, out)
 
 
+def _check_order(order: int) -> None:
+    if not 1 <= order <= _MAX_ORDER:
+        raise ValueError(f"order must be in [1, {_MAX_ORDER}]")
+
+
+def _check_lambda(lo: int, hi: int) -> None:
+    """Guard the smallest (``lo``) and largest (``hi``) lambda of a call."""
+    if lo < 0:
+        raise ValueError("lambda must be non-negative")
+    if hi >= _GUARD:
+        raise ValueError("lambda must be below the guard ceiling 2**60")
+
+
+def top_index(lam: int, order: int) -> int:
+    """Scalar :func:`top_index_array`: largest ``m`` with ``C(m, order) <= lam``.
+
+    The float estimate is repaired with exact Python-int binomials, so
+    the result is exact for every admissible ``lam``.
+    """
+    _check_order(order)
+    lam = int(lam)
+    _check_lambda(lam, lam)
+    est = (math.factorial(order) * lam) ** (1.0 / order) + (order - 1) / 2.0
+    m = max(int(est), order - 1)
+    while math.comb(m, order) > lam:
+        m -= 1
+    while math.comb(m + 1, order) <= lam:
+        m += 1
+    return m
+
+
 def top_index_array(lam: np.ndarray, order: int) -> np.ndarray:
     """Largest ``m`` with ``C(m, order) <= lam`` for each entry (exact).
 
@@ -68,13 +109,10 @@ def top_index_array(lam: np.ndarray, order: int) -> np.ndarray:
     binomial (a naive int64 falling product wraps negative around
     ``C(55000, 4)`` and the repair loops never converge).
     """
-    if not 1 <= order <= _MAX_ORDER:
-        raise ValueError(f"order must be in [1, {_MAX_ORDER}]")
+    _check_order(order)
     lam_i = np.asarray(lam, dtype=np.int64)
-    if np.any(lam_i < 0):
-        raise ValueError("lambda must be non-negative")
-    if np.any(lam_i >= _GUARD):
-        raise ValueError("lambda must be below the guard ceiling 2**60")
+    if lam_i.size:
+        _check_lambda(int(lam_i.min()), int(lam_i.max()))
     fact = math.factorial(order)
     lf = lam_i.astype(np.float64)
     m = np.floor((fact * lf) ** (1.0 / order) + (order - 1) / 2.0).astype(np.int64)
@@ -93,13 +131,22 @@ def top_index_array(lam: np.ndarray, order: int) -> np.ndarray:
     return m
 
 
-def combos_from_linear(lam: np.ndarray, order: int) -> np.ndarray:
+def combos_from_linear(lam: "np.ndarray | range", order: int) -> np.ndarray:
     """Decode linear ids into strictly increasing ``order``-tuples.
 
     Inverse of the combinatorial number system
     ``lam = sum_r C(combo[r], r + 1)``.  Returns shape ``(len(lam), order)``
-    with columns sorted ascending.
+    with columns sorted ascending.  A unit-step ``range`` decodes by
+    successor generation (:func:`_fill_range`); any other input takes the
+    per-element closed form.  Both give identical arrays.
     """
+    if isinstance(lam, range) and lam.step == 1:
+        _check_order(order)
+        out = np.empty((len(lam), order), dtype=np.int64)
+        if len(lam):
+            _check_lambda(lam.start, lam.stop - 1)
+            _fill_range(out, lam.start, lam.stop, order)
+        return out
     lam_i = np.asarray(lam, dtype=np.int64)
     out = np.empty((lam_i.size, order), dtype=np.int64)
     rem = lam_i.copy()
@@ -108,3 +155,35 @@ def combos_from_linear(lam: np.ndarray, order: int) -> np.ndarray:
         out[:, r - 1] = m
         rem = rem - binomial_clamped(m, r)
     return out
+
+
+def _fill_range(out: np.ndarray, lo: int, hi: int, order: int) -> None:
+    """Write the decode of ids ``[lo, hi)`` (``lo < hi``) into columns
+    ``[0, order)`` of ``out``, one level of the top index at a time.
+
+    Level ``m`` holds the ids ``[C(m, order), C(m + 1, order))``; its
+    rows share top index ``m`` and their remainders ``id - C(m, order)``
+    form a contiguous range decoded one order down.  Order 2 resolves
+    every level in one ``np.repeat``; order 1 is the identity.
+    """
+    if order == 1:
+        out[:, 0] = np.arange(lo, hi)
+        return
+    m_lo, m_hi = top_index(lo, order), top_index(hi - 1, order)
+    if order == 2:
+        levels = np.arange(m_lo, m_hi + 1)
+        # C(m, 2) for m < 2**31: the product cannot wrap int64.
+        bases = levels * (levels - 1) // 2
+        starts = np.maximum(bases, lo)
+        counts = np.concatenate((starts[1:], [hi])) - starts
+        out[:, 1] = np.repeat(levels, counts)
+        out[:, 0] = np.arange(lo, hi) - np.repeat(bases, counts)
+        return
+    row = 0
+    for m in range(m_lo, m_hi + 1):
+        base = math.comb(m, order)
+        s, e = max(lo, base), min(hi, math.comb(m + 1, order))
+        level = out[row : row + e - s]
+        level[:, order - 1] = m
+        _fill_range(level, s - base, e - base, order - 1)
+        row += e - s

@@ -11,6 +11,8 @@ The scan is *fused and batched*: :func:`_scan_blocks` scores an entire
 run of λ-adjacent blocks in one pass, decoding each stride of thread ids
 exactly once (``combos_from_linear`` per stride, not per block) and
 folding per-λ maxima into per-block maxima with a segmented reduction.
+Strides are contiguous, so they are decoded as ``range`` objects by
+successor generation rather than by the per-thread closed form.
 The AND → popcount inner product goes through the word-stride fused
 kernels of :mod:`repro.core.kernels`, so no ``(B, L, n_words)``
 intermediate is ever materialized.
@@ -20,7 +22,8 @@ bit-identical winners): each matrix's
 :class:`~repro.bitmatrix.sparsity.SparsityIndex` lets the fused passes
 skip stride slices whose nonzero-mask intersection is empty, the
 λ-lexicographic decode order shares one prefix AND across each run of
-consecutive tuples (columns ``1:`` are constant within a run), and a run
+consecutive tuples (columns ``1:`` are constant within a run, and all
+runs' prefixes are gathered in one vectorised pass), and a run
 whose *tumor* prefix AND is already all-zero is resolved wholesale —
 ``TP = 0`` exactly — whenever the incumbent's F strictly exceeds the
 ``TP = 0`` ceiling ``fscore(0, Nn)``.  Skipped content is reported at
@@ -50,7 +53,7 @@ import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import stride_any_mask
-from repro.combinatorics.decode import combos_from_linear, top_index_array
+from repro.combinatorics.decode import combos_from_linear, top_index
 from repro.core.combination import MultiHitCombination, better
 from repro.core.fscore import FScoreParams, fscore
 from repro.core.kernels import (
@@ -91,31 +94,32 @@ def _and_reduce_rows_prefix(
 
     λ-decode order makes consecutive rows share columns ``1:``; the
     prefix AND is computed once per run and each member costs one more
-    row AND, amortizing gather traffic ~``h×``.  ``traffic`` meters the
-    words actually gathered and the cache hits.
+    row AND, amortizing gather traffic ~``h×``.  All ``R`` run prefixes
+    are gathered and AND-ed together, one fancy index per column, then
+    broadcast back over their runs — no Python loop over runs.
+    ``traffic`` meters the words actually gathered and the cache hits.
     """
     b, h = combos.shape
     w = matrix.n_words
+    words = matrix.words
+    out = words[combos[:, 0]]  # gather copies
     if h == 1:
-        out = matrix.words[combos[:, 0]]  # gather copies
         if traffic is not None:
             traffic.word_reads += b * w
         return out
-    out = np.empty((b, w), dtype=np.uint64)
     change = np.any(combos[1:, 1:] != combos[:-1, 1:], axis=1)
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1, [b]))
-    for i in range(len(starts) - 1):
-        lo, hi = int(starts[i]), int(starts[i + 1])
-        pre = matrix.words[int(combos[lo, 1])].copy()
-        for c in combos[lo, 2:]:
-            np.bitwise_and(pre, matrix.words[int(c)], out=pre)
-        np.bitwise_and(
-            matrix.words[combos[lo:hi, 0]], pre[None, :], out=out[lo:hi]
-        )
-        if traffic is not None:
-            traffic.word_reads += (h - 1 + (hi - lo)) * w
-            traffic.word_ops += (h - 2 + (hi - lo)) * w
-            traffic.prefix_and_hits += (hi - lo) - 1
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    heads = combos[starts]
+    pre = words[heads[:, 1]]
+    for c in range(2, h):
+        np.bitwise_and(pre, words[heads[:, c]], out=pre)
+    lens = np.concatenate((starts[1:], [b])) - starts
+    np.bitwise_and(out, np.repeat(pre, lens, axis=0), out=out)
+    if traffic is not None:
+        r = starts.size
+        traffic.word_reads += ((h - 1) * r + b) * w
+        traffic.word_ops += ((h - 2) * r + b) * w
+        traffic.prefix_and_hits += b - r
     return out
 
 
@@ -194,7 +198,7 @@ def _scan_blocks(
         # ``traffic``.
         for start in range(lam_start, lam_end, _CHUNK_ELEMENTS):
             end = min(start + _CHUNK_ELEMENTS, lam_end)
-            combos = combos_from_linear(np.arange(start, end), f_ord)
+            combos = combos_from_linear(range(start, end), f_ord)
             if counters is not None:
                 counters.decode_strides += 1
             fvals, tp, tn = score_combos(
@@ -212,10 +216,7 @@ def _scan_blocks(
             best = better(best, best_of(combos, fvals, tp, tn))
         return best, scored, block_max
 
-    lo_top = int(top_index_array(np.asarray([lam_start]), f_ord)[0])
-    hi_top = int(top_index_array(np.asarray([lam_end - 1]), f_ord)[0])
-
-    for m in range(lo_top, hi_top + 1):
+    for m in range(top_index(lam_start, f_ord), top_index(lam_end - 1, f_ord) + 1):
         a, b = level_range(scheme, m)
         t_lo, t_hi = max(a, lam_start), min(b, lam_end)
         if t_hi <= t_lo:
@@ -227,7 +228,7 @@ def _scan_blocks(
         cached = inner_cache.get(m) if inner_cache is not None else None
         if cached is None:
             inner = combos_from_linear(
-                np.arange(_n_combos(n_inner_genes, d)), d
+                range(_n_combos(n_inner_genes, d)), d
             ) + (m + 1)
             if sparse:
                 inner_t = _and_reduce_rows_prefix(tumor, inner, traffic)
@@ -251,7 +252,7 @@ def _scan_blocks(
         chunk = max(1, _CHUNK_ELEMENTS // max(1, n_l * max(w, 1)))
         for start in range(t_lo, t_hi, chunk):
             end = min(start + chunk, t_hi)
-            tuples = combos_from_linear(np.arange(start, end), f_ord)
+            tuples = combos_from_linear(range(start, end), f_ord)
             if counters is not None:
                 counters.decode_strides += 1
             if sparse:

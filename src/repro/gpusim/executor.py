@@ -204,7 +204,7 @@ class BlockKernelExecutor:
         ops_combo = self.tuning.ops_per_combo(words, rows_loaded)
         setup_ops = self.tuning.setup_ops_per_thread(words, pre)
 
-        tuples = combos_from_linear(np.arange(first, last), f_ord)
+        tuples = combos_from_linear(range(first, last), f_ord)
         winner: "MultiHitCombination | None" = None
         cycles = 0.0
         word_reads = 0
@@ -220,7 +220,7 @@ class BlockKernelExecutor:
                 continue
             else:
                 inner = combos_from_linear(
-                    np.arange(_n_combos(n_inner, d)), d
+                    range(_n_combos(n_inner, d)), d
                 ) + (top + 1)
                 candidates = np.concatenate(
                     [np.broadcast_to(row, (inner.shape[0], f_ord)), inner], axis=1

@@ -6,12 +6,13 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.combinatorics.decode import (
     binomial_clamped,
     combos_from_linear,
+    top_index,
     top_index_array,
 )
 
@@ -81,6 +82,76 @@ class TestTopIndex:
     def test_hypothesis_bracket(self, lam, order):
         m = int(top_index_array(np.array([lam]), order)[0])
         assert math.comb(m, order) <= lam < math.comb(m + 1, order)
+
+
+class TestScalarTopIndex:
+    @given(
+        st.integers(min_value=0, max_value=(1 << 60) - 1),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_matches_array_form(self, lam, order):
+        m = top_index(lam, order)
+        assert m == int(top_index_array(np.array([lam]), order)[0])
+        assert math.comb(m, order) <= lam < math.comb(m + 1, order)
+
+    def test_rejects_invalid(self):
+        for lam, order in ((-1, 2), (1 << 60, 4), (0, 0), (0, 9)):
+            with pytest.raises(ValueError):
+                top_index(lam, order)
+
+
+def _range_matches_array(lo, hi, order):
+    got = combos_from_linear(range(lo, hi), order)
+    want = combos_from_linear(np.arange(lo, hi), order)
+    assert got.shape == want.shape == (max(0, hi - lo), order)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+class TestRangeDecode:
+    """Successor decode of a ``range`` equals the per-element closed form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(min_value=0, max_value=3000),
+    )
+    def test_matches_array_form(self, order, lo, n):
+        _range_matches_array(lo, lo + n, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_empty_single_and_level_crossing(self, order):
+        for m in (order, order + 1, 17, 200):
+            edge = math.comb(m, order)  # first id of level m
+            _range_matches_array(edge, edge, order)
+            _range_matches_array(edge, edge + 1, order)
+            _range_matches_array(edge - 1, edge, order)
+            _range_matches_array(max(0, edge - 5), edge + 5, order)
+        # From zero across many levels, as the inner tables decode.
+        _range_matches_array(0, math.comb(40, order), order)
+
+    @pytest.mark.parametrize("g", [20_000, 60_000])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_top_of_large_grids(self, g, order):
+        top = math.comb(g, order)
+        _range_matches_array(max(0, top - 4096), top, order)
+        last = combos_from_linear(range(top - 1, top), order)
+        assert last[0].tolist() == list(range(g - order, g))
+
+    def test_non_unit_step_uses_closed_form(self):
+        got = combos_from_linear(range(5, 500, 7), 3)
+        np.testing.assert_array_equal(
+            got, combos_from_linear(np.arange(5, 500, 7), 3)
+        )
+
+    def test_rejects_invalid(self):
+        with pytest.raises(ValueError):
+            combos_from_linear(range(-1, 3), 2)
+        with pytest.raises(ValueError):
+            combos_from_linear(range((1 << 60) - 2, (1 << 60) + 1), 4)
+        with pytest.raises(ValueError):
+            combos_from_linear(range(0, 3), 9)
 
 
 class TestCombosFromLinear:

@@ -172,8 +172,12 @@ class TestElasticRunner:
         """crash + hang + leave + join in one solve: the worst case."""
         tumor, normal, params = instance
         ref = self._ref(instance)
+        # Rank 0 starts first and could drain every lease before ranks 1
+        # and 2 acquire one; an in-TTL stall on its first lease makes
+        # sure the crash and the hang both fire.
         plan = FaultPlan(
             (
+                FaultSpec(kind="straggler", site="rank", target=0, delay_s=0.1),
                 FaultSpec(kind="crash", site="rank", target=1),
                 FaultSpec(kind="hang", site="rank", target=2, delay_s=0.8),
                 FaultSpec(kind="leave", site="membership", target=0, delay_s=0.1),
@@ -628,9 +632,12 @@ class TestCausalUnderChurn:
         # Membership delay_s is a completed-lease fraction: the join
         # lands early (0.2) and the leave late (0.6), so live ranks are
         # around to steal the crashed rank's forfeited lease — the
-        # lowest available id, regranted within one acquire round.
+        # lowest available id, regranted within one acquire round.  The
+        # in-TTL straggler holds rank 0 on its first lease so ranks 1 and
+        # 2 acquire theirs (and crash / hang) before the pool drains.
         plan = FaultPlan(
             (
+                FaultSpec(kind="straggler", site="rank", target=0, delay_s=0.1),
                 FaultSpec(kind="crash", site="rank", target=1),
                 FaultSpec(kind="hang", site="rank", target=2, delay_s=0.8),
                 FaultSpec(kind="join", site="membership", target=2,

@@ -16,8 +16,13 @@ from hypothesis import strategies as st
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import SparsityIndex, stride_any_mask
 from repro.bitmatrix.splicing import splice_columns
+from repro.combinatorics.decode import combos_from_linear
 from repro.core.bounds import BoundTable
-from repro.core.engine import SingleGpuEngine, best_in_thread_range
+from repro.core.engine import (
+    SingleGpuEngine,
+    _and_reduce_rows_prefix,
+    best_in_thread_range,
+)
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     KernelCounters,
@@ -102,6 +107,70 @@ def _adversarial_matrix(rng, g, n_samples, kind):
 
 
 KINDS = ["zero_rows", "single_bit", "dense", "sparse"]
+
+
+def _prefix_reference(matrix, combos, traffic):
+    """Per-run shared-prefix AND: one prefix and one metered gather per run."""
+    b, h = combos.shape
+    w = matrix.n_words
+    out = np.empty((b, w), dtype=np.uint64)
+    bounds = [0] + [
+        i for i in range(1, b) if (combos[i, 1:] != combos[i - 1, 1:]).any()
+    ] + [b]
+    for lo, hi in zip(bounds, bounds[1:]):
+        pre = matrix.words[combos[lo, 1]].copy()
+        for c in combos[lo, 2:]:
+            pre &= matrix.words[c]
+        out[lo:hi] = matrix.words[combos[lo:hi, 0]] & pre
+        traffic.word_reads += (h - 1 + hi - lo) * w
+        traffic.word_ops += (h - 2 + hi - lo) * w
+        traffic.prefix_and_hits += hi - lo - 1
+    return out
+
+
+class TestPrefixGather:
+    """The loop-free prefix gather matches a per-run reference exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=6, max_value=16),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_per_run_reference(self, h, g, n_samples, seed, shuffled):
+        rng = np.random.default_rng(seed)
+        matrix = BitMatrix.from_dense(rng.random((g, n_samples)) < 0.5)
+        total = len(list(itertools.combinations(range(g), h)))
+        lo = int(rng.integers(0, total))
+        hi = int(rng.integers(lo + 1, total + 1))
+        combos = combos_from_linear(range(lo, hi), h)
+        if shuffled:
+            # Arbitrary row order: runs collapse to length 1 almost
+            # everywhere, the case with no prefix reuse.
+            combos = combos[rng.permutation(len(combos))]
+        got_c, want_c = KernelCounters(), KernelCounters()
+        got = _and_reduce_rows_prefix(matrix, combos, got_c)
+        want = _prefix_reference(matrix, combos, want_c)
+        np.testing.assert_array_equal(got, want)
+        assert (got_c.word_reads, got_c.word_ops, got_c.prefix_and_hits) == (
+            want_c.word_reads, want_c.word_ops, want_c.prefix_and_hits,
+        )
+
+    def test_all_runs_of_length_one(self):
+        rng = np.random.default_rng(3)
+        matrix = BitMatrix.from_dense(rng.random((10, 90)) < 0.5)
+        combos = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 3]])  # every prefix differs
+        got_c, want_c = KernelCounters(), KernelCounters()
+        np.testing.assert_array_equal(
+            _and_reduce_rows_prefix(matrix, combos, got_c),
+            _prefix_reference(matrix, combos, want_c),
+        )
+        assert got_c.prefix_and_hits == 0
+        assert (got_c.word_reads, got_c.word_ops) == (
+            want_c.word_reads, want_c.word_ops,
+        )
 
 
 class TestSparseScoreCombos:
