@@ -76,6 +76,9 @@ from repro.scheduling.workload import (
 
 __all__ = ["ChunkRecord", "PoolDegradedWarning", "PoolEngine", "PoolStats"]
 
+# How long :meth:`PoolEngine.close` waits for its workers to exit.
+_WORKER_EXIT_S = 10.0
+
 
 class PoolDegradedWarning(RuntimeWarning):
     """A worker chunk was recovered inline after a crash or timeout."""
@@ -415,19 +418,25 @@ class PoolEngine:
         return shm.name
 
     def close(self) -> None:
-        """Shut the pool down and release the shared-memory segments."""
+        """Shut the pool down, wait for its workers to exit and release
+        the shared-memory segments."""
         if self._pool is not None:
-            # A timed-out chunk leaves its worker running an abandoned
-            # search; without a kill, interpreter exit would block on it.
-            stuck = (
-                list(getattr(self._pool, "_processes", {}).values())
-                if self._timed_out
-                else []
+            workers = list(
+                (getattr(self._pool, "_processes", None) or {}).values()
             )
             self._pool.shutdown(wait=False, cancel_futures=True)
-            for proc in stuck:
-                if proc.is_alive():
-                    proc.terminate()
+            if self._timed_out:
+                # A timed-out chunk leaves its worker running an abandoned
+                # search; without a kill, interpreter exit would block on it.
+                for proc in workers:
+                    if proc.is_alive():
+                        proc.terminate()
+            # No worker outlives the close: a pool opened right after
+            # (the next solve's) would otherwise run beside the exiting
+            # one, doubling the resident worker set for a moment.
+            deadline = time.monotonic() + _WORKER_EXIT_S
+            for proc in workers:
+                proc.join(max(0.0, deadline - time.monotonic()))
             self._pool = None
         for seg in self._segments.values():
             try:

@@ -262,6 +262,17 @@ class TestStatsAndSharedMemory:
         eng.close()
         eng.close()
 
+    def test_close_waits_for_workers(self, instance):
+        tumor, normal, params = instance
+        eng = PoolEngine(scheme=scheme_for(2, 1), n_workers=2)
+        eng.best_combo(tumor, normal, params)
+        workers = list(eng._pool._processes.values())
+        assert len(workers) == 2
+        eng.close()
+        # No worker outlives close(), so a pool opened next never runs
+        # beside it.
+        assert not any(proc.is_alive() for proc in workers)
+
 
 # -- graceful degradation ------------------------------------------------
 
